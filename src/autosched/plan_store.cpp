@@ -9,6 +9,7 @@
 #include <set>
 #include <utility>
 
+#include "common/knobs.h"
 #include "common/str_util.h"
 #include "obs/metrics.h"
 #include "obs/persist.h"
@@ -28,9 +29,8 @@ std::atomic<double> g_fuzz{0.0};
 std::atomic<int64_t> g_store_max{0};  // 0 = uncapped
 std::once_flag g_env_once;
 
-std::string& env_path() {
-  static std::string p;
-  return p;
+const std::string& env_path() {
+  return knobs::get(knobs::Knob::PlanStore).path;
 }
 
 // ---- JSON writing -----------------------------------------------------------
@@ -247,20 +247,11 @@ bool parse_entry(Cursor& c, StoredPlan* e) {
 }
 
 void init_from_env() {
-  if (const char* f = std::getenv("SPDISTAL_PLAN_FUZZ")) {
-    if (f[0] != '\0') {
-      g_fuzz.store(std::strtod(f, nullptr), std::memory_order_relaxed);
-    }
-  }
-  if (const char* m = std::getenv("SPDISTAL_PLAN_STORE_MAX")) {
-    if (m[0] != '\0') {
-      g_store_max.store(std::strtoll(m, nullptr, 10),
-                        std::memory_order_relaxed);
-    }
-  }
-  const char* p = std::getenv("SPDISTAL_PLAN_STORE");
-  if (p == nullptr || p[0] == '\0') return;
-  env_path() = p;
+  g_fuzz.store(knobs::get(knobs::Knob::PlanFuzz).real,
+               std::memory_order_relaxed);
+  g_store_max.store(knobs::get(knobs::Knob::PlanStoreMax).integer,
+                    std::memory_order_relaxed);
+  if (!knobs::get(knobs::Knob::PlanStore).set) return;
   load_plan_store(env_path());  // absent file on cold start is fine
   std::atexit([] {
     if (!g_enabled.load(std::memory_order_relaxed)) return;

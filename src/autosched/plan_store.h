@@ -7,7 +7,7 @@
 //                             (entries marked from_store), merge + rewrite
 //                             it atomically at exit. A warm process then
 //                             compiles with zero searches.
-//   SPDISTAL_PLAN_FUZZ=tol    fuzzy-tier tolerance in [0, 1): serve the
+//   SPDISTAL_PLAN_FUZZ=tol    fuzzy-tier tolerance in [0, 1]: serve the
 //                             nearest fingerprint whose distance is <= tol
 //                             when the exact key misses. Default 0 (exact
 //                             only).

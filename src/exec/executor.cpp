@@ -1,9 +1,9 @@
 #include "exec/executor.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/error.h"
+#include "common/knobs.h"
 #include "common/str_util.h"
 #include "obs/obs.h"
 
@@ -17,11 +17,8 @@ thread_local int tls_worker_index = -1;
 }  // namespace
 
 int default_exec_threads() {
-  if (const char* env = std::getenv("SPDISTAL_EXEC_THREADS")) {
-    const int n = std::atoi(env);
-    if (n >= 1) return std::min(n, 64);
-    return 1;
-  }
+  const knobs::Value& env = knobs::get(knobs::Knob::ExecThreads);
+  if (env.set) return static_cast<int>(env.integer);
   const unsigned hw = std::thread::hardware_concurrency();
   return static_cast<int>(std::min(8u, std::max(1u, hw)));
 }

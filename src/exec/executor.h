@@ -40,8 +40,8 @@ namespace spdistal::exec {
 using TaskId = uint64_t;
 
 // Number of execution contexts used when a Runtime does not request an
-// explicit count: $SPDISTAL_EXEC_THREADS, else hardware_concurrency clamped
-// to [1, 8]. A value of 1 means fully serial (no worker threads).
+// explicit count: $SPDISTAL_EXEC_THREADS (1..64), else hardware_concurrency
+// clamped to [1, 8]. A value of 1 means fully serial (no worker threads).
 int default_exec_threads();
 
 // A shared pool of worker threads executing opaque items. `contexts` counts

@@ -16,8 +16,6 @@ const char* level_kind_name(LevelKind k) {
       return "Singleton";
     case LevelKind::Blocked:
       return "Blocked";
-    case LevelKind::Hashed:
-      return "Hashed";
   }
   return "?";
 }
@@ -108,13 +106,6 @@ void Format::validate() const {
                   "format: a Blocked pair must be the last two levels");
       }
     }
-    // Hashed coordinates are unordered, so deeper levels (whose segments
-    // assume an ordered parent walk) cannot hang off them.
-    if (m.is_hashed()) {
-      SPD_CHECK(l + 1 == order(), NotationError,
-                "format: a Hashed level must be the last level (its "
-                "coordinates are unordered)");
-    }
   }
 }
 
@@ -183,12 +174,6 @@ Format bcsr(int block_r, int block_c) {
                                                          << block_c << ")");
   return Format({ModeFormat::BlockedDense(block_r),
                  ModeFormat::BlockedCompressed(block_c)});
-}
-
-Format hashed_vector() { return Format({ModeFormat::Hashed()}); }
-
-Format hashed_csr() {
-  return Format({ModeFormat::Dense(), ModeFormat::Hashed()});
 }
 
 }  // namespace spdistal::fmt

@@ -252,77 +252,6 @@ TensorStorage pack(const std::string& name, const Format& format,
         (*level.crd)[static_cast<Coord>(i)] = crds[i];
       }
       groups = std::move(next);
-    } else if (level.kind.is_hashed()) {
-      // Compressed-style grouping, but each parent's distinct coordinates
-      // are *stored* in hash-slot order — ordered()==false is a real
-      // property of the storage, not just a flag — and an open-addressing
-      // index maps (parent, coordinate) -> position for O(1) probes.
-      level.pos = rt::make_region<rt::PosRange>(
-          rt::IndexSpace(level.parent_positions), name + ".pos" +
-                                                      std::to_string(l + 1));
-      std::vector<int32_t> crds;
-      std::vector<Range> next;
-      for (size_t p = 0; p < groups.size(); ++p) {
-        const Range& g = groups[p];
-        std::vector<std::pair<Coord, Range>> seg;
-        int64_t at = g.begin;
-        while (at < g.end) {
-          const Coord v =
-              coo.coords[static_cast<size_t>(at)][static_cast<size_t>(dim)];
-          const int64_t start = at;
-          while (at < g.end &&
-                 coo.coords[static_cast<size_t>(at)][static_cast<size_t>(dim)] ==
-                     v) {
-            ++at;
-          }
-          seg.emplace_back(v, Range{start, at});
-        }
-        std::stable_sort(seg.begin(), seg.end(),
-                         [&](const std::pair<Coord, Range>& a,
-                             const std::pair<Coord, Range>& b) {
-                           const uint64_t ha = hashed_level_slot(
-                               static_cast<Coord>(p), a.first);
-                           const uint64_t hb = hashed_level_slot(
-                               static_cast<Coord>(p), b.first);
-                           if (ha != hb) return ha < hb;
-                           return a.first < b.first;
-                         });
-        const Coord seg_begin = static_cast<Coord>(crds.size());
-        for (const auto& [v, r] : seg) {
-          crds.push_back(static_cast<int32_t>(v));
-          next.push_back(r);
-        }
-        (*level.pos)[static_cast<Coord>(p)] =
-            rt::PosRange{seg_begin, static_cast<Coord>(crds.size()) - 1};
-      }
-      level.positions = static_cast<Coord>(crds.size());
-      level.crd = rt::make_region<int32_t>(
-          rt::IndexSpace(std::max<Coord>(level.positions, 1)),
-          name + ".crd" + std::to_string(l + 1));
-      for (size_t i = 0; i < crds.size(); ++i) {
-        (*level.crd)[static_cast<Coord>(i)] = crds[i];
-      }
-      // Power-of-two table, load factor <= 0.5, linear probing. Entries are
-      // level positions; a probe verifies its hit against crd and the
-      // parent's pos segment (slots do not store keys).
-      Coord table = 2;
-      while (table < 2 * level.positions) table <<= 1;
-      level.hash = rt::make_region<int32_t>(rt::IndexSpace(table),
-                                            name + ".hash" +
-                                                std::to_string(l + 1));
-      level.hash->fill(-1);
-      for (size_t p = 0; p < groups.size(); ++p) {
-        const rt::PosRange pr = (*level.pos)[static_cast<Coord>(p)];
-        for (Coord q = pr.lo; q <= pr.hi; ++q) {
-          Coord slot = static_cast<Coord>(
-              hashed_level_slot(static_cast<Coord>(p),
-                                (*level.crd)[q]) &
-              static_cast<uint64_t>(table - 1));
-          while ((*level.hash)[slot] != -1) slot = (slot + 1) & (table - 1);
-          (*level.hash)[slot] = static_cast<int32_t>(q);
-        }
-      }
-      groups = std::move(next);
     } else {
       level.pos = rt::make_region<rt::PosRange>(
           rt::IndexSpace(level.parent_positions), name + ".pos" +

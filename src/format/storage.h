@@ -73,22 +73,7 @@ struct LevelStorage {
   // Singleton) by this level's positions.
   rt::RegionRef<rt::PosRange> pos;
   rt::RegionRef<int32_t> crd;
-  // Hashed levels only: open-addressing index of (parent position,
-  // coordinate) -> this level's position. Power-of-two table of position
-  // entries (-1 = empty slot), load factor <= 0.5, probed linearly.
-  rt::RegionRef<int32_t> hash;
 };
-
-// Hash mixed over (parent position, coordinate) — the slot function shared
-// by pack's index builder and the kernels' O(1) probes.
-inline uint64_t hashed_level_slot(Coord parent, Coord c) {
-  uint64_t h = static_cast<uint64_t>(parent) * 0x9E3779B97F4A7C15ull ^
-               static_cast<uint64_t>(c) * 0xD1B54A32D192ED03ull;
-  h ^= h >> 33;
-  h *= 0xFF51AFD7ED558CCDull;
-  h ^= h >> 29;
-  return h;
-}
 
 class TensorStorage {
  public:

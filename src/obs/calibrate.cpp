@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "common/knobs.h"
 #include "common/str_util.h"
 #include "obs/metrics.h"
 #include "obs/persist.h"
@@ -25,9 +26,8 @@ constexpr int kSchemaVersion = 1;
 std::atomic<bool> g_enabled{false};
 std::once_flag g_env_once;
 
-std::string& env_path() {
-  static std::string p;
-  return p;
+const std::string& env_path() {
+  return knobs::get(knobs::Knob::Calib).path;
 }
 
 // The file's rate set as loaded at startup — the baseline the atexit merge
@@ -127,9 +127,7 @@ std::map<std::string, CalibRates> parse_rates(const std::string& doc) {
 }
 
 void init_from_env() {
-  const char* p = std::getenv("SPDISTAL_CALIB");
-  if (p == nullptr || p[0] == '\0') return;
-  env_path() = p;
+  if (!knobs::get(knobs::Knob::Calib).set) return;
   g_enabled.store(true, std::memory_order_relaxed);
   Calibration::global().load(env_path());  // absent file on cold start is fine
   std::atexit([] {

@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "common/knobs.h"
+
 namespace spdistal::obs {
 
 namespace {
@@ -12,12 +14,11 @@ namespace {
 std::atomic<bool> g_enabled{false};
 
 bool enabled_from_env() {
-  if (const char* env = std::getenv("SPDISTAL_OBS")) {
-    return std::string(env) != "0";
-  }
+  const knobs::Value& obs = knobs::get(knobs::Knob::Obs);
+  if (obs.set) return obs.integer != 0;
   // Unset: observability is on exactly when a sink asks for output.
-  return std::getenv("SPDISTAL_TRACE") != nullptr ||
-         std::getenv("SPDISTAL_METRICS") != nullptr;
+  return knobs::get(knobs::Knob::Trace).set ||
+         knobs::get(knobs::Knob::Metrics).set;
 }
 
 std::atomic<bool> g_enabled_init{false};
@@ -94,18 +95,15 @@ Metrics& Metrics::global() {
   // the $SPDISTAL_METRICS atexit dump below runs before that point.
   static Metrics* m = [] {
     auto* reg = new Metrics();
-    if (const char* path = std::getenv("SPDISTAL_METRICS")) {
-      if (enabled() && path[0] != '\0') {
-        static std::string out_path;
-        out_path = path;
-        std::atexit([] {
-          std::FILE* f = std::fopen(out_path.c_str(), "w");
-          if (f == nullptr) return;
-          const std::string doc = Metrics::global().json();
-          std::fwrite(doc.data(), 1, doc.size(), f);
-          std::fclose(f);
-        });
-      }
+    if (knobs::get(knobs::Knob::Metrics).set && enabled()) {
+      std::atexit([] {
+        const std::string& path = knobs::get(knobs::Knob::Metrics).path;
+        std::FILE* f = std::fopen(path.c_str(), "w");
+        if (f == nullptr) return;
+        const std::string doc = Metrics::global().json();
+        std::fwrite(doc.data(), 1, doc.size(), f);
+        std::fclose(f);
+      });
     }
     return reg;
   }();

@@ -10,8 +10,6 @@
 //   SPDISTAL_METRICS=f.json   dump the metrics registry as JSON at exit
 //   SPDISTAL_TRACE_RING=N     keep only the last N events per timeline
 //                             (drop-oldest; constant-memory soak tracing)
-//   SPDISTAL_TRACE_SAMPLE=K   record every Kth launch's spans (counter
-//                             tracks stay always-on)
 //   SPDISTAL_CALIB=f.json     learn measured wall-per-flop/byte leaf rates;
 //                             load at startup, merge + rewrite at exit
 #pragma once

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <set>
 
+#include "common/knobs.h"
 #include "common/str_util.h"
 
 namespace spdistal::obs {
@@ -82,28 +83,18 @@ TraceRecorder& TraceRecorder::global() {
 
 TraceRecorder::TraceRecorder() {
   wall_us();  // pin the wall-clock epoch
-  if (const char* ring = std::getenv("SPDISTAL_TRACE_RING")) {
-    const long n = std::atol(ring);
-    if (n > 0) ring_.store(static_cast<size_t>(n), std::memory_order_relaxed);
-  }
-  if (const char* every = std::getenv("SPDISTAL_TRACE_SAMPLE")) {
-    const long k = std::atol(every);
-    if (k > 1) sample_every_.store(static_cast<uint64_t>(k),
-                                   std::memory_order_relaxed);
-  }
-  if (const char* path = std::getenv("SPDISTAL_TRACE")) {
-    if (enabled() && path[0] != '\0') {
-      capturing_.store(true, std::memory_order_relaxed);
-      static std::string out_path;  // read back by the atexit hook
-      out_path = path;
-      std::atexit([] {
-        TraceRecorder& r = TraceRecorder::global();
-        if (!r.write(out_path)) {
-          std::fprintf(stderr, "spdistal: failed to write trace to %s\n",
-                       out_path.c_str());
-        }
-      });
-    }
+  ring_.store(static_cast<size_t>(
+                  knobs::get(knobs::Knob::TraceRing).integer),
+              std::memory_order_relaxed);
+  if (knobs::get(knobs::Knob::Trace).set && enabled()) {
+    capturing_.store(true, std::memory_order_relaxed);
+    std::atexit([] {
+      const std::string& path = knobs::get(knobs::Knob::Trace).path;
+      if (!TraceRecorder::global().write(path)) {
+        std::fprintf(stderr, "spdistal: failed to write trace to %s\n",
+                     path.c_str());
+      }
+    });
   }
 }
 
@@ -113,11 +104,9 @@ void TraceRecorder::start() {
   host_events_.clear();
   meas_events_.clear();
   sim_track_names_.clear();
-  // Flow ids and the sampling sequence restart with the capture, so two
-  // captures of the same program are comparable byte-for-byte on the
-  // deterministic tracks.
+  // Flow ids restart with the capture, so two captures of the same program
+  // are comparable byte-for-byte on the deterministic tracks.
   next_flow_id_.store(1, std::memory_order_relaxed);
-  launch_seq_.store(0, std::memory_order_relaxed);
   capturing_.store(true, std::memory_order_relaxed);
 }
 

@@ -19,8 +19,7 @@
 // Long-running processes stay constant-memory: SPDISTAL_TRACE_RING=N keeps
 // only the last N events per timeline (drop-oldest; drops are counted in
 // obs.dropped_events and dangling flow ends are filtered at serialization,
-// so the JSON stays well-formed), and SPDISTAL_TRACE_SAMPLE=K records every
-// Kth launch's spans (counter tracks stay always-on).
+// so the JSON stays well-formed).
 //
 // Sinks: $SPDISTAL_TRACE=out.json starts capture at process start and writes
 // the file at exit; tests drive start()/json() directly. Every record is
@@ -63,7 +62,7 @@ class TraceRecorder {
     return capturing_.load(std::memory_order_relaxed) && enabled();
   }
 
-  // Begins a fresh capture (clears all buffers, flow ids, sample counter).
+  // Begins a fresh capture (clears all buffers and flow ids).
   void start();
   void stop() { capturing_.store(false, std::memory_order_relaxed); }
 
@@ -85,8 +84,8 @@ class TraceRecorder {
   // A counter-track sample (ph:"C"): Perfetto renders successive samples of
   // the same `name` as a filled line graph (executor queue depth,
   // outstanding tasks). Samples live on host tid 0 so one graph aggregates
-  // values from every thread. Never sampled away and never ring-dropped
-  // preferentially: counters are the always-on signal.
+  // values from every thread. Never ring-dropped preferentially: counters
+  // are the always-on signal.
   void host_counter(const char* cat, const char* name, int64_t value);
   // Names the calling thread's host track ("main", "worker-3").
   void name_host_thread(const std::string& name);
@@ -118,20 +117,6 @@ class TraceRecorder {
   // whose start was dropped, so the JSON stays well-formed.
   void set_ring(size_t n) { ring_.store(n, std::memory_order_relaxed); }
   size_t ring() const { return ring_.load(std::memory_order_relaxed); }
-  // Records every `k`th launch's spans (1 = every launch). The decision is
-  // taken once per launch on the submitting thread, in submission order.
-  void set_sample(uint64_t k) {
-    sample_every_.store(k > 0 ? k : 1, std::memory_order_relaxed);
-  }
-  uint64_t sample() const {
-    return sample_every_.load(std::memory_order_relaxed);
-  }
-  // True when the next launch should be recorded (advances the counter).
-  bool sample_launch() {
-    const uint64_t k = sample_every_.load(std::memory_order_relaxed);
-    if (k <= 1) return true;
-    return launch_seq_.fetch_add(1, std::memory_order_relaxed) % k == 0;
-  }
 
   // Total events recorded in the current capture (0 when disabled).
   size_t events() const;
@@ -163,8 +148,6 @@ class TraceRecorder {
 
   std::atomic<bool> capturing_{false};
   std::atomic<size_t> ring_{0};
-  std::atomic<uint64_t> sample_every_{1};
-  std::atomic<uint64_t> launch_seq_{0};
   std::atomic<uint64_t> next_flow_id_{1};
   mutable std::mutex mu_;
   Buffer sim_events_;

@@ -1,13 +1,11 @@
 #include "runtime/runtime.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <set>
 
 #include "common/error.h"
 #include "common/str_util.h"
 #include "obs/obs.h"
-#include "runtime/subset_intern.h"
 #include "runtime/touch_log.h"
 #include "verify/privilege_check.h"
 #include "verify/race_audit.h"
@@ -64,9 +62,8 @@ IndexSubset TaskContext::subset(size_t req) const {
 // bit-identical by construction.
 struct Runtime::LaunchPlan {
   std::vector<Proc> procs;  // per point
-  // [point] -> per-requirement subset row, interned by content hash
-  // (SubsetInterner) so plans over the same partitions share one copy.
-  std::vector<std::shared_ptr<const std::vector<IndexSubset>>> subsets;
+  // [point] -> per-requirement subset row.
+  std::vector<std::vector<IndexSubset>> subsets;
   // Whether each requirement carried a partition (the borrowed Partition*
   // itself is not retained — it need not outlive the submission).
   std::vector<bool> partitioned;
@@ -106,10 +103,10 @@ struct Runtime::LaunchRecord {
   std::vector<WorkEstimate> work;  // per point
   // Tracing/profiling decisions taken once at submission (in submission
   // order, so they are deterministic across worker counts): whether this
-  // launch's spans are recorded (launch sampling), the base of its flow-id
-  // block (2 ids per point: even = sim chain, odd = measured chain; 0 =
-  // none), and whether leaf wall times feed the calibration store.
-  bool sampled = false;
+  // launch's spans are recorded (the recorder was active), the base of its
+  // flow-id block (2 ids per point: even = sim chain, odd = measured chain;
+  // 0 = none), and whether leaf wall times feed the calibration store.
+  bool traced = false;
   bool calibrate = false;
   uint64_t flow_base = 0;
   // Reduction privatization, per requirement: scratch[r][p] is point p's
@@ -145,32 +142,6 @@ void Runtime::set_verify(bool on) {
   // Enabling needs the global accessor touch-logging switch; disabling
   // leaves it alone — other runtimes in the process may still verify.
   if (on) verify::set_enabled(true);
-}
-
-size_t Runtime::env_plan_capacity() {
-  static const size_t cap = [] {
-    const char* e = std::getenv("SPDISTAL_PLAN_MEMO");
-    if (e == nullptr || e[0] == '\0') return kDefaultPlanCapacity;
-    const long v = std::strtol(e, nullptr, 10);
-    return v >= 1 ? static_cast<size_t>(v) : size_t{1};
-  }();
-  return cap;
-}
-
-void Runtime::evict_to_capacity() {
-  static obs::Counter& plan_evict_metric =
-      obs::Metrics::global().counter("plan.evictions");
-  while (plan_cache_.size() > plan_capacity_) {
-    plan_cache_.erase(plan_lru_.back().key);
-    plan_lru_.pop_back();
-    ++plan_evictions_;
-    if (observed_) plan_evict_metric.add(1);
-  }
-}
-
-void Runtime::set_plan_memo_capacity(size_t capacity) {
-  plan_capacity_ = std::max<size_t>(capacity, 1);
-  evict_to_capacity();
 }
 
 bool Runtime::inject_plan_fault(PlanFault fault) {
@@ -388,14 +359,12 @@ std::shared_ptr<const Runtime::LaunchPlan> Runtime::build_plan(
   plan->subsets.resize(static_cast<size_t>(P));
   for (int p = 0; p < P; ++p) {
     plan->procs[static_cast<size_t>(p)] = proc_for_point(p, launch);
-    SubsetInterner::Row subs;
+    auto& subs = plan->subsets[static_cast<size_t>(p)];
     subs.reserve(R);
     for (const RegionReq& req : launch.reqs) {
       subs.push_back(req.partition ? req.partition->subset(p)
                                    : req.region->space().as_subset());
     }
-    plan->subsets[static_cast<size_t>(p)] =
-        SubsetInterner::global().intern(std::move(subs));
   }
   plan->partitioned.reserve(R);
   for (const RegionReq& req : launch.reqs) {
@@ -411,8 +380,8 @@ std::shared_ptr<const Runtime::LaunchPlan> Runtime::build_plan(
     bool overlapping = false;
     for (int q = 1; q < P && !overlapping; ++q) {
       for (int p = 0; p < q && !overlapping; ++p) {
-        overlapping = (*plan->subsets[static_cast<size_t>(p)])[r].overlaps(
-            (*plan->subsets[static_cast<size_t>(q)])[r]);
+        overlapping = plan->subsets[static_cast<size_t>(p)][r].overlaps(
+            plan->subsets[static_cast<size_t>(q)][r]);
       }
     }
     plan->req_overlapping[r] = overlapping;
@@ -440,7 +409,7 @@ std::shared_ptr<const Runtime::LaunchPlan> Runtime::build_plan(
     auto& boxes = plan->scratch_box[r];
     boxes.resize(static_cast<size_t>(P));
     for (int p = 0; p < P; ++p) {
-      const IndexSubset& s = (*plan->subsets[static_cast<size_t>(p)])[r];
+      const IndexSubset& s = plan->subsets[static_cast<size_t>(p)][r];
       if (s.empty()) {
         RectN empty;  // lo > hi in every dimension
         empty.dim = launch.reqs[r].region->space().dim();
@@ -460,7 +429,7 @@ std::shared_ptr<const Runtime::LaunchPlan> Runtime::build_plan(
     for (size_t r = 0; r < R; ++r) {
       acc.push_back(exec::RegionAccess{
           launch.reqs[r].region->id(),
-          (*plan->subsets[static_cast<size_t>(p)])[r],
+          plan->subsets[static_cast<size_t>(p)][r],
           to_mode(launch.reqs[r].priv), plan->privatized[r]});
     }
   }
@@ -522,8 +491,8 @@ std::shared_ptr<const Runtime::LaunchPlan> Runtime::build_plan(
     }
     for (int q = 1; q < P; ++q) {
       for (int p = 0; p < q; ++p) {
-        IndexSubset ov = (*plan->subsets[static_cast<size_t>(p)])[r].intersect(
-            (*plan->subsets[static_cast<size_t>(q)])[r]);
+        IndexSubset ov = plan->subsets[static_cast<size_t>(p)][r].intersect(
+            plan->subsets[static_cast<size_t>(q)][r]);
         if (ov.empty()) continue;
         plan->reduce_pairs[r].push_back(
             LaunchPlan::ReducePair{p, q, std::move(ov)});
@@ -536,16 +505,14 @@ std::shared_ptr<const Runtime::LaunchPlan> Runtime::build_plan(
 exec::Future Runtime::execute(const IndexLaunch& launch) {
   SPDISTAL_CHECK(launch.domain >= 1, "empty launch domain");
   SPDISTAL_CHECK(launch.body, "launch without body");
-  // Launch sampling: every launch is counted, but spans and flow events are
-  // only recorded for every Kth launch (SPDISTAL_TRACE_SAMPLE). The decision
-  // is taken here, on the submitting thread, so it is deterministic in
-  // submission order regardless of worker count.
+  // Whether this launch's spans and flow events are recorded is decided
+  // here, on the submitting thread, so it is deterministic in submission
+  // order regardless of worker count.
   obs::TraceRecorder& trec = obs::TraceRecorder::global();
-  const bool rec_active = trec.active() && observed_;
-  const bool sampled = rec_active && trec.sample_launch();
+  const bool traced = trec.active() && observed_;
   // Host-timeline span for the enqueue (name only built when recording).
   obs::Span enqueue_span(
-      "runtime", sampled ? "enqueue " + launch.name : std::string());
+      "runtime", traced ? "enqueue " + launch.name : std::string());
   const int P = launch.domain;
   const size_t R = launch.reqs.size();
 
@@ -554,7 +521,7 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
   // (stepping through plan_build on a cold plan), id base+2p+1 links it to
   // point p's measured wall-clock span.
   uint64_t flow_base = 0;
-  if (sampled) {
+  if (traced) {
     flow_base = trec.alloc_flow_ids(static_cast<uint64_t>(2 * P));
     for (int p = 0; p < P; ++p) {
       const uint64_t base = flow_base + 2 * static_cast<uint64_t>(p);
@@ -596,7 +563,7 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
   if (plan == nullptr) {
     {
       obs::Span plan_span(
-          "runtime", sampled ? std::string("plan_build") : std::string());
+          "runtime", traced ? std::string("plan_build") : std::string());
       plan = build_plan(launch);
       if (flow_base != 0) {
         // Step the first sim arrow through the plan-build span so the trace
@@ -610,7 +577,7 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
       // Capacity bound against programs that churn through partitions:
       // evict only the least-recently-used plans, so the handful of live
       // launch shapes a real program cycles through always stay warm.
-      if (plan_cache_.size() >= plan_capacity_) {
+      if (plan_cache_.size() >= kDefaultPlanCapacity) {
         plan_cache_.erase(plan_lru_.back().key);
         plan_lru_.pop_back();
         ++plan_evictions_;
@@ -641,13 +608,7 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
           launch.reqs[r].region->id(), launch.reqs[r].region->name(),
           to_mode(launch.reqs[r].priv), plan->privatized[r]});
     }
-    // The auditor takes per-point rows by value layout; materialize a
-    // temporary copy of the interned rows for the (sampled, O(P^2)) audit.
-    std::vector<std::vector<IndexSubset>> memo(static_cast<size_t>(P));
-    for (int p = 0; p < P; ++p) {
-      memo[static_cast<size_t>(p)] = *plan->subsets[static_cast<size_t>(p)];
-    }
-    in.memo_subsets = &memo;
+    in.memo_subsets = &plan->subsets;
     in.memo_edges = &plan->conflict_edges;
     std::vector<std::vector<IndexSubset>> fresh;
     if (warm_hit) {
@@ -670,7 +631,7 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
   rec->plan = plan;
   rec->work.resize(static_cast<size_t>(P));
   rec->scratch.resize(R);
-  rec->sampled = sampled;
+  rec->traced = traced;
   rec->flow_base = flow_base;
   rec->calibrate = observed_ && obs::calibration_enabled();
   for (size_t r = 0; r < R; ++r) {
@@ -701,7 +662,7 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
       IndexSubset u(launch.reqs[r].region->space().dim());
       for (int p = 0; p < P; ++p) {
         for (const RectN& rect :
-             (*plan->subsets[static_cast<size_t>(p)])[r].rects()) {
+             plan->subsets[static_cast<size_t>(p)][r].rects()) {
           u.add(rect);
         }
       }
@@ -747,13 +708,13 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
           RegionBase::ScopedRedirects guard(rds.data(), rds.size());
           TaskContext ctx(*this, rec->launch, p,
                           plan.procs[static_cast<size_t>(p)],
-                          plan.subsets[static_cast<size_t>(p)].get());
+                          &plan.subsets[static_cast<size_t>(p)]);
           // Leaf wall-clock measurement feeds the measured trace track and
           // the calibration store. The timer brackets only the body (scratch
           // allocation and verify post-checks are runtime overhead, not
           // kernel time).
           const Proc proc = plan.procs[static_cast<size_t>(p)];
-          const bool measure = rec->sampled || rec->calibrate;
+          const bool measure = rec->traced || rec->calibrate;
           const double wall0 = measure ? obs::wall_us() : 0.0;
           double wall1 = 0.0;
           TouchLog tlog;
@@ -776,7 +737,7 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
                   w.flops, w.bytes, wall_s);
             }
             obs::TraceRecorder& trec = obs::TraceRecorder::global();
-            if (rec->sampled && trec.active()) {
+            if (rec->traced && trec.active()) {
               const double sim_s =
                   sim_.task_duration(proc, w, rec->launch.leaf_threads);
               const std::string nm =
@@ -804,7 +765,7 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
                 rec->launch.reqs[r].region->id(),
                 rec->launch.reqs[r].region->name(),
                 to_mode(rec->launch.reqs[r].priv),
-                &(*plan.subsets[static_cast<size_t>(p)])[r]});
+                &plan.subsets[static_cast<size_t>(p)][r]});
           }
           verify::check_task_touches(
               strprintf("%s[%d]", rec->launch.name.c_str(), p), tlog, views);
@@ -824,7 +785,7 @@ exec::Future Runtime::execute(const IndexLaunch& launch) {
             const auto& scratch = rec->scratch[r][static_cast<size_t>(p)];
             if (scratch == nullptr) continue;
             region.fold_scratch(scratch.get(),
-                                (*plan.subsets[static_cast<size_t>(p)])[r]);
+                                plan.subsets[static_cast<size_t>(p)][r]);
           }
           region.end_redirect_epoch();
         }
@@ -934,11 +895,11 @@ void Runtime::account_launch(LaunchRecord& rec) {
   };
   std::vector<PointResult> points(static_cast<size_t>(launch.domain));
 
-  // Sim-track labels are built only while a capture is live and the launch
-  // was sampled; the per-kernel row accumulates whenever this runtime is
-  // observed.
+  // Sim-track labels are built only while a capture is live and was live
+  // when the launch was submitted; the per-kernel row accumulates whenever
+  // this runtime is observed.
   const bool tracing =
-      sim_.trace() != nullptr && sim_.trace()->active() && rec.sampled;
+      sim_.trace() != nullptr && sim_.trace()->active() && rec.traced;
   obs::KernelStats* row = observed_ ? &kernel_rows_[launch.name] : nullptr;
   std::string pt_name;
 
@@ -948,7 +909,7 @@ void Runtime::account_launch(LaunchRecord& rec) {
     double data_ready = 0;
     for (size_t r = 0; r < launch.reqs.size(); ++r) {
       const RegionReq& req = launch.reqs[r];
-      const IndexSubset& s = (*plan.subsets[static_cast<size_t>(p)])[r];
+      const IndexSubset& s = plan.subsets[static_cast<size_t>(p)][r];
       switch (req.priv) {
         case Privilege::RO:
         case Privilege::RW:
@@ -995,7 +956,7 @@ void Runtime::account_launch(LaunchRecord& rec) {
     PlacementInfo& pl = placement(region);
     const double elem = static_cast<double>(region.elem_size());
     for (int p = 0; p < launch.domain; ++p) {
-      const IndexSubset& s = (*plan.subsets[static_cast<size_t>(p)])[r];
+      const IndexSubset& s = plan.subsets[static_cast<size_t>(p)][r];
       if (s.empty()) continue;
       const Mem m = machine_.proc_mem(points[static_cast<size_t>(p)].proc);
       IndexSubset fresh = pl.valid.count(m) ? s.subtract(pl.valid[m]) : s;

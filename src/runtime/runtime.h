@@ -204,12 +204,6 @@ class Runtime {
     plan_lru_.clear();
   }
 
-  // LaunchPlan LRU capacity: defaults to SPDISTAL_PLAN_MEMO (256 when
-  // unset), clamped to >= 1. Shrinking below the current population evicts
-  // the coldest plans immediately (counted as plan.evictions).
-  void set_plan_memo_capacity(size_t capacity);
-  size_t plan_memo_capacity() const { return plan_capacity_; }
-
   // Verification mode (ISSUE 7). When on, every execute() runs the
   // dependence-race auditor over the (possibly cached) plan, leaf tasks
   // record touched bounds for the privilege checker, and read-only operands
@@ -328,11 +322,8 @@ class Runtime {
     PlanKey key;
     std::shared_ptr<const LaunchPlan> plan;
   };
-  // SPDISTAL_PLAN_MEMO, or this default when unset.
+  // LaunchPlan LRU capacity.
   static constexpr size_t kDefaultPlanCapacity = 256;
-  static size_t env_plan_capacity();
-  // Drops the coldest plans until size <= plan_capacity_.
-  void evict_to_capacity();
 
   Machine machine_;
   Simulator sim_;
@@ -341,7 +332,6 @@ class Runtime {
   std::map<RegionId, PlacementInfo> placements_;
   std::list<PlanEntry> plan_lru_;
   std::map<PlanKey, std::list<PlanEntry>::iterator> plan_cache_;
-  size_t plan_capacity_ = env_plan_capacity();
   bool plan_memo_ = true;
   bool verify_ = false;
   int64_t plan_hits_ = 0;

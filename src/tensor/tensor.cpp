@@ -93,6 +93,13 @@ Statement& TensorAccess::define(const BoundExpr& rhs, bool accumulate) {
                       accumulate};
   stmt.bindings = merge_bindings(rhs.bindings,
                                  {{tensor_->name(), *tensor_}});
+  // The definition lives inside the output's own data, so it binds the
+  // output through a non-owning handle: an owning one would be a
+  // shared_ptr cycle that keeps the tensor, its storage and its operands
+  // alive forever. Copies of the statement own the output again.
+  stmt.bindings.at(tensor_->name()).data_ =
+      std::shared_ptr<Tensor::Data>(std::shared_ptr<Tensor::Data>(),
+                                    tensor_->data_.get());
   tensor_->data_->definition = std::move(stmt);
   return *tensor_->data_->definition;
 }

@@ -97,6 +97,15 @@ class Tensor {
   Tensor() = default;
   Tensor(std::string name, std::vector<Coord> dims, fmt::Format format,
          std::optional<tdn::Distribution> distribution = std::nullopt);
+  // Copies always own the tensor, even when copied from the non-owning
+  // self-binding a definition keeps of its output (see TensorAccess::define).
+  Tensor(const Tensor& o) : data_(o.owning()) {}
+  Tensor& operator=(const Tensor& o) {
+    data_ = o.owning();
+    return *this;
+  }
+  Tensor(Tensor&&) = default;
+  Tensor& operator=(Tensor&&) = default;
 
   const std::string& name() const;
   const std::vector<Coord>& dims() const;
@@ -145,7 +154,7 @@ class Tensor {
 
  private:
   friend class TensorAccess;
-  struct Data {
+  struct Data : std::enable_shared_from_this<Data> {
     std::string name;
     std::vector<Coord> dims;
     fmt::Format format;
@@ -155,6 +164,13 @@ class Tensor {
     std::optional<Statement> definition;
     sched::Schedule schedule;
   };
+  std::shared_ptr<Data> owning() const {
+    // A non-owning handle aliases live data with an empty control block.
+    if (data_ != nullptr && data_.use_count() == 0) {
+      return data_->shared_from_this();
+    }
+    return data_;
+  }
   std::shared_ptr<Data> data_;
 };
 

@@ -194,17 +194,15 @@ void check_divide_pos(const Statement& stmt, const sched::Schedule& schedule,
                 "position space to strip-mine");
     }
     // Blocked positions address R*C value lanes (splitting mid-block would
-    // tear a block's lanes across pieces) and Hashed positions enumerate
-    // coordinates in hash order; neither is a legal position split target.
+    // tear a block's lanes across pieces): not a legal position split target.
     for (int l = 0; l <= split_level; ++l) {
-      if (f.mode(l).is_blocked() || f.mode(l).is_hashed()) {
+      if (f.mode(l).is_blocked()) {
         error(out, "divide-pos-blocked",
               "divide_pos(" + c.vars[0].name() + ", ..., \"" + tensor +
                   "\") would split the " + f.mode(l).str() +
                   " level of `" + tensor +
                   "`: blocked positions address whole R*C value blocks "
-                  "and hashed positions are unordered — use divide "
-                  "(coordinate space) for blocked/hashed formats");
+                  "— use divide (coordinate space) for blocked formats");
         break;
       }
     }

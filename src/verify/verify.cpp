@@ -2,11 +2,11 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <mutex>
 #include <set>
 #include <sstream>
 
+#include "common/knobs.h"
 #include "obs/metrics.h"
 #include "runtime/touch_log.h"
 
@@ -26,16 +26,14 @@ std::atomic<uint64_t> g_audit_every{1};
 std::atomic<uint64_t> g_audit_seq{0};
 
 void init_from_env() {
-  const char* v = std::getenv("SPDISTAL_VERIFY");
-  const bool on = v != nullptr && v[0] != '\0' && std::string(v) != "0";
-  if (on) {
+  if (knobs::get(knobs::Knob::Verify).integer != 0) {
     g_enabled.store(true, std::memory_order_relaxed);
     rt::set_touch_logging(true);
   }
-  if (const char* s = std::getenv("SPDISTAL_VERIFY_SAMPLE")) {
-    const long n = std::atol(s);
-    if (n > 1) g_audit_every.store(static_cast<uint64_t>(n),
-                                   std::memory_order_relaxed);
+  const knobs::Value& every = knobs::get(knobs::Knob::VerifySample);
+  if (every.set) {
+    g_audit_every.store(static_cast<uint64_t>(every.integer),
+                        std::memory_order_relaxed);
   }
 }
 

@@ -168,7 +168,9 @@ TEST(TrilinosLike, SpAdd3SlowerThanPetsc) {
   // i.e. Trilinos pays more for pairwise assembly than PETSc.
   IndexVar i("i"), j("j");
   fmt::Coo coo = data::powerlaw_matrix(300, 300, 6000, 1.1, 10);
-  auto build = [&]() {
+  // Statements are returned by value: a copy owns its tensors, while a
+  // pointer into A's definition would dangle once A goes out of scope.
+  auto build = [&]() -> Statement {
     Tensor A("A", {300, 300}, fmt::csr());
     Tensor B("B", {300, 300}, fmt::csr());
     Tensor C("C", {300, 300}, fmt::csr());
@@ -176,14 +178,14 @@ TEST(TrilinosLike, SpAdd3SlowerThanPetsc) {
     B.from_coo(coo);
     C.from_coo(data::shift_last_dim(coo, 1));
     D.from_coo(data::shift_last_dim(coo, 2));
-    return &(A(i, j) = B(i, j) + C(i, j) + D(i, j));
+    return A(i, j) = B(i, j) + C(i, j) + D(i, j);
   };
   LibrarySystem petsc = make_petsc_like(scaled_machine(4));
   LibrarySystem trilinos = make_trilinos_like(scaled_machine(4));
-  Statement* s1 = build();
-  Statement* s2 = build();
-  const double tp = petsc.run(*s1, 1, 5);
-  const double tt = trilinos.run(*s2, 1, 5);
+  Statement s1 = build();
+  Statement s2 = build();
+  const double tp = petsc.run(s1, 1, 5);
+  const double tt = trilinos.run(s2, 1, 5);
   EXPECT_GT(tt, tp);
 }
 
@@ -222,7 +224,7 @@ TEST(CtfLike, MttkrpNearParity) {
   IndexVar i("i"), j("j"), k("k"), l("l"), io("io"), ii("ii");
   fmt::Coo coo = data::uniform_3tensor(400, 300, 200, 40000, 12);
   const Coord L = 16;
-  auto build = [&]() {
+  auto build = [&]() -> Statement {
     Tensor A("A", {400, L}, fmt::dense_matrix(), tdn::parse_tdn("A(x, y) -> M(x)"));
     Tensor B("B", {400, 300, 200}, fmt::csf3(), tdn::parse_tdn("B(x, y, z) -> M(x)"));
     Tensor C("C", {300, L}, fmt::dense_matrix(), tdn::parse_tdn("C(x, y) -> M(q)"));
@@ -230,25 +232,25 @@ TEST(CtfLike, MttkrpNearParity) {
     B.from_coo(coo);
     C.init_dense([](const auto& x) { return 0.5 + 0.01 * static_cast<double>(x[1]); });
     D.init_dense([](const auto& x) { return 1.0 - 0.01 * static_cast<double>(x[1]); });
-    Statement* stmt = &(A(i, l) = B(i, j, k) * C(j, l) * D(k, l));
+    Statement stmt = (A(i, l) = B(i, j, k) * C(j, l) * D(k, l));
     A.schedule().divide(i, io, ii, 4).distribute(io).parallelize(
         ii, sched::ParallelUnit::CPUThread);
     return stmt;
   };
   double t_spd;
   {
-    Statement* stmt = build();
+    const Statement stmt = build();
     rt::Machine m = scaled_machine(4);
     rt::Runtime runtime(m);
-    auto inst = comp::CompiledKernel::compile(*stmt, m).instantiate(runtime);
+    auto inst = comp::CompiledKernel::compile(stmt, m).instantiate(runtime);
     inst->run(1);
     runtime.reset_timing();
     inst->run(3);
     t_spd = inst->report().sim_time / 3;
   }
-  Statement* stmt2 = build();
+  Statement stmt2 = build();
   CtfLike ctf(scaled_machine(4));
-  const double t_ctf = ctf.run(*stmt2, 1, 3);
+  const double t_ctf = ctf.run(stmt2, 1, 3);
   // Within ~3x either way (paper: median 0.97x with wide spread).
   EXPECT_LT(t_ctf, 3 * t_spd);
   EXPECT_GT(t_ctf, t_spd / 3);

@@ -195,7 +195,7 @@ RunResult run_spmm(const fmt::Format& format, int exec_threads) {
   RunResult res;
   res.leaf = ck.leaf_kernel_name();
   for (Coord q = 0; q < n * cols; ++q) {
-    res.out.push_back((*A.storage().vals())[q]);
+    res.out.push_back(A.storage().vals()->at_linear(q));
   }
   res.report = runtime.report();
   return res;

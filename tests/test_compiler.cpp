@@ -148,8 +148,9 @@ struct KernelCase {
 std::vector<KernelCase> kernel_cases() {
   std::vector<KernelCase> cases;
   cases.push_back({"spmv", [](int pieces) {
-    auto* p = new SpmvProgram(pieces, data::powerlaw_matrix(80, 80, 500, 1.2, 7));
-    return std::make_pair(p->a, p->stmt);
+    // The returned output keeps its definition (and operands) alive.
+    SpmvProgram p(pieces, data::powerlaw_matrix(80, 80, 500, 1.2, 7));
+    return std::make_pair(p.a, p.stmt);
   }});
   cases.push_back({"spmm", [](int pieces) {
     IndexVar i("i"), j("j"), k("k"), io("io"), ii("ii");

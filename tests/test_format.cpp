@@ -345,8 +345,7 @@ TEST(Pack, SortsUnorderedInputOnPack) {
   for (size_t p : perm) {
     shuffled.push(ordered.coords[p], ordered.vals[p]);
   }
-  for (const Format& f :
-       {csr(), csc(), dcsr(), coo(2), bcsr(2, 2), hashed_csr()}) {
+  for (const Format& f : {csr(), csc(), dcsr(), coo(2), bcsr(2, 2)}) {
     TensorStorage a = pack("A", f, {4, 4}, ordered);
     TensorStorage b = pack("B", f, {4, 4}, shuffled);
     EXPECT_TRUE(storage_equals(a, b)) << f.str();
@@ -402,7 +401,7 @@ TEST(Pack, CoalesceOffRejectsDuplicatesOnUniqueFormats) {
   dup.push({1, 1}, 2.0);
   PackOptions raw;
   raw.coalesce = false;
-  for (const Format& f : {csr(), bcsr(2, 2), hashed_csr()}) {
+  for (const Format& f : {csr(), bcsr(2, 2)}) {
     Coo copy = dup;
     EXPECT_THROW(pack("X", f, {4, 4}, std::move(copy), raw), NotationError)
         << f.str();

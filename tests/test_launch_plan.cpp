@@ -11,7 +11,6 @@
 
 #include "compiler/lower.h"
 #include "data/generators.h"
-#include "runtime/subset_intern.h"
 #include "tensor/dense_ref.h"
 #include "tensor/tensor.h"
 
@@ -359,82 +358,6 @@ TEST(LaunchPlan, LruEvictsColdestPlanOnly) {
   EXPECT_EQ(rep.plan_misses, 2 + kCapacity);
   // Re-inserting B at capacity evicted the then-coldest entry.
   EXPECT_EQ(rep.plan_evictions, 2);
-}
-
-// The memo capacity is tunable (SPDISTAL_PLAN_MEMO reads into the same
-// setter at construction): shrinking below the live plan count evicts
-// exactly the coldest plans immediately; warm identities survive.
-TEST(LaunchPlan, MemoCapacityKnobShrinkEvictsColdestOnly) {
-  rt::Runtime rt(cpu_machine(2, rt::Grid(2)), 1);
-  EXPECT_EQ(rt.plan_memo_capacity(), 256u);  // default, env knob unset
-  rt.set_plan_memo_capacity(8);
-  EXPECT_EQ(rt.plan_memo_capacity(), 8u);
-  auto r = rt.create_region<double>(rt::IndexSpace(200), "acc");
-  r->fill(0.0);
-  auto fresh_partition = [&](Coord mid) {
-    return rt::partition_by_bounds(
-        r->space(),
-        {rt::RectN::make1(0, mid), rt::RectN::make1(mid - 10, 199)});
-  };
-  rt::Partition pa = fresh_partition(100);
-  rt::Partition pb = fresh_partition(110);
-  rt::Partition pc = fresh_partition(120);
-  rt::Partition pd = fresh_partition(130);
-  for (auto* p : {&pa, &pb, &pc, &pd}) rt.execute(reduce_launch(r, p));
-  rt.execute(reduce_launch(r, &pa));  // recency: coldest -> B, C, D, A
-  rt.flush();
-  EXPECT_EQ(rt.report().plan_misses, 4);
-  EXPECT_EQ(rt.report().plan_hits, 1);
-  EXPECT_EQ(rt.report().plan_evictions, 0);
-  // Shrink to 2: the two coldest (B, C) are evicted on the spot.
-  rt.set_plan_memo_capacity(2);
-  EXPECT_EQ(rt.plan_memo_capacity(), 2u);
-  rt.flush();
-  EXPECT_EQ(rt.report().plan_evictions, 2);
-  rt.execute(reduce_launch(r, &pd));  // survived the shrink
-  rt.execute(reduce_launch(r, &pa));  // survived the shrink
-  rt.flush();
-  EXPECT_EQ(rt.report().plan_hits, 3);
-  rt.execute(reduce_launch(r, &pb));  // evicted: rebuilds, displacing D
-  rt.flush();
-  rt::SimReport rep = rt.report();
-  EXPECT_EQ(rep.plan_misses, 5);
-  EXPECT_EQ(rep.plan_evictions, 3);
-  rt.execute(reduce_launch(r, &pa));  // still warm at capacity 2
-  rt.flush();
-  EXPECT_EQ(rt.report().plan_hits, 4);
-  // Capacity is clamped to at least one live plan.
-  rt.set_plan_memo_capacity(0);
-  EXPECT_EQ(rt.plan_memo_capacity(), 1u);
-}
-
-// Identical per-point subset rows across distinct plans (a repartition with
-// the same bounds) are interned: the second plan shares the first's rows
-// and the plan.interned_bytes accounting grows.
-TEST(LaunchPlan, SubsetRowsInternedAcrossIdenticalLaunches) {
-  rt::SubsetInterner& interner = rt::SubsetInterner::global();
-  const int64_t shared0 = interner.shared_rows();
-  const int64_t bytes0 = interner.interned_bytes();
-  rt::Runtime rt(cpu_machine(2, rt::Grid(2)), 1);
-  auto r = rt.create_region<double>(rt::IndexSpace(100), "acc");
-  r->fill(0.0);
-  // Same bounds, distinct Partition objects: new uid => fresh plan, but the
-  // captured subset rows are content-identical.
-  rt::Partition p1 = rt::partition_by_bounds(
-      r->space(), {rt::RectN::make1(0, 60), rt::RectN::make1(40, 99)});
-  rt::Partition p2 = rt::partition_by_bounds(
-      r->space(), {rt::RectN::make1(0, 60), rt::RectN::make1(40, 99)});
-  rt.execute(reduce_launch(r, &p1));
-  rt.execute(reduce_launch(r, &p2));
-  rt.flush();
-  EXPECT_EQ(rt.report().plan_misses, 2);
-  // Both of the second plan's points reused the first plan's rows.
-  EXPECT_GE(interner.shared_rows(), shared0 + 2);
-  EXPECT_GT(interner.interned_bytes(), bytes0);
-  // Execution through shared rows stays correct: overlap saw both points
-  // of both launches.
-  EXPECT_DOUBLE_EQ((*r)[50], 4.0);
-  EXPECT_DOUBLE_EQ((*r)[0], 2.0);
 }
 
 TEST(LaunchPlan, LruHitRefreshesRecency) {

@@ -425,31 +425,6 @@ TEST(Obs, RingBufferBoundsEventsAndCountsDrops) {
   }
 }
 
-TEST(Obs, LaunchSamplingRecordsEveryKthLaunch) {
-  const rt::Machine m = cpu_machine(4);
-  ObsGuard guard(true);
-  obs::TraceRecorder& trec = obs::TraceRecorder::global();
-  // K larger than the launch count: exactly the first launch records its
-  // spans; counter tracks stay on for every launch.
-  trec.set_sample(1 << 20);
-  {
-    auto [out, stmt] = build_spmv(m.num_procs());
-    rt::Runtime runtime(m, 2);
-    auto inst = CompiledKernel::compile(*stmt, m).instantiate(runtime);
-    inst->run(4);
-    runtime.flush();
-  }
-  const std::string doc = trec.json();
-  trec.set_sample(1);
-  size_t enqueues = 0, counters = 0;
-  for (const std::string& line : doc_lines(doc)) {
-    if (line.find("\"name\": \"enqueue ") != std::string::npos) ++enqueues;
-    if (line.find("\"ph\": \"C\"") != std::string::npos) ++counters;
-  }
-  EXPECT_EQ(enqueues, 1u);
-  EXPECT_GT(counters, 0u);
-}
-
 TEST(Obs, CounterTracksSampleExecutorGauges) {
   const rt::Machine m = cpu_machine(4);
   ObsGuard guard(true);

@@ -60,6 +60,32 @@ TEST(TensorApi, BuildsStatementWithBindings) {
   EXPECT_TRUE(a.has_definition());
 }
 
+// A definition binds its own output without owning it, so the output's
+// storage and operands are freed with the last user handle (an owning
+// self-binding would be a shared_ptr cycle that leaks them). Copies of the
+// statement own the output again.
+TEST(TensorApi, DefinedTensorIsFreedWithItsLastHandle) {
+  std::weak_ptr<rt::Region<double>> out_vals;
+  std::weak_ptr<rt::Region<double>> operand_vals;
+  Statement copy;
+  {
+    IndexVar i("i"), j("j");
+    Tensor a("a", {4}, fmt::dense_vector());
+    Tensor B("B", {4, 4}, fmt::dense_matrix());
+    Tensor c("c", {4}, fmt::dense_vector());
+    Statement& stmt = (a(i) = B(i, j) * c(j));
+    EXPECT_TRUE(stmt.tensor("a").same_as(a));
+    out_vals = a.storage().vals();
+    operand_vals = B.storage().vals();
+    copy = stmt;
+  }
+  EXPECT_FALSE(out_vals.expired());
+  EXPECT_TRUE(copy.tensor("a").has_definition());
+  copy = Statement();
+  EXPECT_TRUE(out_vals.expired());
+  EXPECT_TRUE(operand_vals.expired());
+}
+
 TEST(TensorApi, RejectsWrongArity) {
   IndexVar i("i");
   Tensor B("B", {4, 4}, fmt::csr());
